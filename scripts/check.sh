@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Full local gate: fast tier-1 tests first (plus the scenario-matrix smoke
 # subset), then the chaos suite, then an ASan/UBSan pass over the whole test
-# suite in separate build trees. The full protocol x scenario matrix
-# (ctest -L scenario) runs in --release.
+# suite in separate build trees, then a TSan pass over the concurrent
+# groups. The full protocol x scenario matrix (ctest -L scenario) runs in
+# --release.
 #
 #   scripts/check.sh            # tier-1 + scenario smoke + chaos + sanitizers
 #   scripts/check.sh --quick    # tier-1 + scenario smoke (CI on every push)
@@ -91,9 +92,14 @@ done
 # The concurrency the fast suite exercises lives in the eval layer's
 # parallel audits and the sharded simulator engine; drive the long-running
 # labels (which audit continuously under churn) plus the sharded-engine
-# group through TSan to catch data races the single-label runs miss.
-echo "== chaos + soak + sharded engine under thread sanitizer (build-tsan) =="
+# group through TSan to catch data races the single-label runs miss. Those
+# groups drive only VPoD; the golden traces (DV control plane) and the
+# scenario smoke (every protocol) run the other protocols on the sharded
+# engine, so their lane-side writes to per-node state (e.g. a packed
+# vector<bool> flag) are raced here too.
+echo "== chaos + soak + sharded engine + golden/scenario smoke under thread sanitizer (build-tsan) =="
 configure_and_build build-tsan -DGDVR_SANITIZE=thread
 ctest --test-dir build-tsan -L 'chaos|soak|parallel' --output-on-failure
+ctest --test-dir build-tsan -R '^(GoldenTrace|ScenarioMatrixSmoke)\.' --output-on-failure -j "$JOBS"
 
 echo "all checks passed"

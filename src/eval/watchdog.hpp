@@ -84,7 +84,9 @@ class ConvergenceWatchdog {
   // Per-node consecutive stuck-audit counts; negative after a resync fired
   // (counting down the post-resync grace).
   std::vector<int> stuck_counts_;
-  std::vector<bool> failed_nodes_;   // already counted as audit failure
+  // Already counted as audit failure. Packed bits are safe here only because
+  // audits are global-lane events; a lane-side writer needs vector<char>.
+  std::vector<bool> failed_nodes_;
   std::uint64_t resyncs_ = 0;
   std::uint64_t audit_failures_ = 0;
   bool finished_ = false;

@@ -12,7 +12,7 @@ DistanceVector::DistanceVector(sim::NetSim<DvMsg>& net, const DvConfig& config)
     : net_(net),
       config_(config),
       tables_(static_cast<std::size_t>(net.size())),
-      dirty_(static_cast<std::size_t>(net.size()), false),
+      dirty_(static_cast<std::size_t>(net.size()), 0),
       changed_(static_cast<std::size_t>(net.size())),
       stats_(static_cast<std::size_t>(net.size())),
       rng_(0xD57A7ull) {}
@@ -35,7 +35,7 @@ void DistanceVector::advertise(NodeId u) {
   for (const auto& [dest, entry] : tables_[static_cast<std::size_t>(u)])
     m.vector.emplace_back(dest, entry.cost);
   net_.for_each_alive_neighbor(u, [&](const graph::Edge& e) { net_.send(u, e.to, m); });
-  dirty_[static_cast<std::size_t>(u)] = false;
+  dirty_[static_cast<std::size_t>(u)] = 0;
   changed_[static_cast<std::size_t>(u)].clear();  // the full table covers everything
   ++stats_[static_cast<std::size_t>(u)].full_adverts;
   stats_[static_cast<std::size_t>(u)].entries_full += m.vector.size();
@@ -44,7 +44,7 @@ void DistanceVector::advertise(NodeId u) {
 
 void DistanceVector::schedule_triggered(NodeId u) {
   if (dirty_[static_cast<std::size_t>(u)]) return;
-  dirty_[static_cast<std::size_t>(u)] = true;
+  dirty_[static_cast<std::size_t>(u)] = 1;
   net_.simulator().schedule_in_node(u, config_.triggered_delay_s, [this, u] {
     if (!dirty_[static_cast<std::size_t>(u)] || !net_.alive(u)) return;
     // Triggered advertisement (does not reset the periodic timer chain; the
@@ -72,7 +72,7 @@ void DistanceVector::schedule_triggered(NodeId u) {
     changed.clear();
     if (!m.vector.empty())
       net_.for_each_alive_neighbor(u, [&](const graph::Edge& e) { net_.send(u, e.to, m); });
-    dirty_[static_cast<std::size_t>(u)] = false;
+    dirty_[static_cast<std::size_t>(u)] = 0;
   });
 }
 

@@ -99,7 +99,9 @@ class DistanceVector {
   sim::NetSim<DvMsg>& net_;
   DvConfig config_;
   std::vector<std::map<NodeId, Entry>> tables_;
-  std::vector<bool> dirty_;
+  // One byte per node, not vector<bool>: lanes set their own nodes' flags
+  // inside a parallel window, and packed bits would share a word across shards.
+  std::vector<char> dirty_;
   // Destinations whose entry changed since this node's last advertisement;
   // a triggered delta update floods exactly these. Cleared by every
   // advertisement (a full table trivially covers the set).

@@ -329,6 +329,9 @@ class NetSim {
   double delay_min_;
   double delay_max_;
   std::vector<Rng> rng_;  // one stream per node; send-path draws use [from]
+  // Packed bits share words across nodes, so this is safe only because every
+  // writer (set_alive via churn/fault replay, harness, protocol lifecycle) runs
+  // in the sharded engine's global phase. A lane-side writer needs vector<char>.
   std::vector<bool> alive_;
   std::vector<std::uint32_t> incarnation_;
   std::vector<NodeCounters> counters_;
